@@ -226,34 +226,46 @@ impl Mat {
 
     /// Gram matrix of the rows: `self * selfᵀ` (shape `rows × rows`).
     ///
-    /// Exploits symmetry — only the upper triangle is computed.
+    /// Exploits symmetry — only the upper triangle is computed, one task
+    /// per row. Row `i`'s `rows − i` dot products run as independent
+    /// accumulator chains, four to a pass over the columns, so their
+    /// additions overlap instead of each waiting on the previous one (a
+    /// short last group repeats its last row and drops the duplicate
+    /// sums). Each chain still adds its products in ascending column order
+    /// from the neutral element of `Iterator::sum`, so every entry is
+    /// bit-identical to `rᵢ·rⱼ` summed with `.sum()`.
     pub fn gram_rows(&self) -> Mat {
         let m = self.rows;
-        let mut g = Mat::zeros(m, m);
-        let rows: Vec<&[f64]> = (0..m).map(|i| self.row(i)).collect();
-        let upper: Vec<(usize, Vec<f64>)> = (0..m)
+        let zero: f64 = std::iter::empty::<f64>().sum();
+        let upper: Vec<Vec<f64>> = (0..m)
             .into_par_iter()
             .map(|i| {
-                let ri = rows[i];
-                let vals: Vec<f64> = (i..m)
-                    .map(|j| ri.iter().zip(rows[j]).map(|(a, b)| a * b).sum())
-                    .collect();
-                (i, vals)
+                let ri = self.row(i);
+                let rows: Vec<&[f64]> = (i..m).map(|j| self.row(j)).collect();
+                let mut dots = Vec::with_capacity(m - i);
+                for group in rows.chunks(4) {
+                    let r = |k: usize| group[k.min(group.len() - 1)];
+                    let (r0, r1, r2, r3) = (r(0), r(1), r(2), r(3));
+                    let mut s = [zero; 4];
+                    for (c, &x) in ri.iter().enumerate() {
+                        s[0] += x * r0[c];
+                        s[1] += x * r1[c];
+                        s[2] += x * r2[c];
+                        s[3] += x * r3[c];
+                    }
+                    dots.extend_from_slice(&s[..group.len()]);
+                }
+                dots
             })
             .collect();
-        for (i, vals) in upper {
-            for (off, v) in vals.into_iter().enumerate() {
-                let j = i + off;
+        let mut g = Mat::zeros(m, m);
+        for (i, dots) in upper.into_iter().enumerate() {
+            for (j, v) in (i..m).zip(dots) {
                 g[(i, j)] = v;
                 g[(j, i)] = v;
             }
         }
         g
-    }
-
-    /// Gram matrix of the columns: `selfᵀ * self` (shape `cols × cols`).
-    pub fn gram_cols(&self) -> Mat {
-        self.transpose().gram_rows()
     }
 
     /// Elementwise sum `self + rhs`.

@@ -29,6 +29,48 @@ fn blocked_sum(data: &[f64], f: impl Fn(f64) -> f64 + Sync) -> f64 {
     }
 }
 
+/// Fill `out` and take `K` blocked sums in the same pass.
+///
+/// `f(i)` returns `out[i]` together with the `K` terms element `i`
+/// contributes. Each sum runs over [`SUM_BLOCK`]-element blocks of `out`:
+/// within a block the terms are added in ascending `i` from the neutral
+/// element of `Iterator::sum`, and the block partials are combined in
+/// block order — the order of [`fro_norm`] and [`l1_norm`]. A sum of
+/// `g(out[i])` taken here is therefore bit-identical to the blocked norm of
+/// the finished `out`, on the serial and parallel paths alike.
+pub fn fill_blocked<const K: usize>(
+    out: &mut [f64],
+    f: impl Fn(usize) -> (f64, [f64; K]) + Sync,
+) -> [f64; K] {
+    let zero: f64 = std::iter::empty::<f64>().sum();
+    let block = |(b, chunk): (usize, &mut [f64])| {
+        let mut acc = [zero; K];
+        for (o, i) in chunk.iter_mut().zip(b * SUM_BLOCK..) {
+            let (v, terms) = f(i);
+            *o = v;
+            for (a, t) in acc.iter_mut().zip(terms) {
+                *a += t;
+            }
+        }
+        acc
+    };
+    let partials: Vec<[f64; K]> = if out.len() >= PAR_NORM_ELEMS {
+        out.par_chunks_mut(SUM_BLOCK)
+            .enumerate()
+            .map(block)
+            .collect()
+    } else {
+        out.chunks_mut(SUM_BLOCK).enumerate().map(block).collect()
+    };
+    let mut total = [zero; K];
+    for p in partials {
+        for (t, x) in total.iter_mut().zip(p) {
+            *t += x;
+        }
+    }
+    total
+}
+
 /// Frobenius norm: `sqrt(Σ aᵢⱼ²)`.
 pub fn fro_norm(m: &Mat) -> f64 {
     blocked_sum(m.as_slice(), |v| v * v).sqrt()
@@ -128,6 +170,33 @@ mod tests {
         let a = Mat::zeros(3, 3);
         let e = Mat::full(3, 3, 1.0);
         assert_eq!(zero_norm_frac(&e, &a, 1e-6), 0.0);
+    }
+
+    #[test]
+    fn fill_blocked_sums_match_blocked_norms() {
+        // 40 000 elements: above the parallel threshold, with a partial
+        // last block; the terms include -0.0 so the neutral element shows.
+        let src: Vec<f64> = (0..40_000)
+            .map(|i| {
+                if i % 5 == 0 {
+                    -0.0
+                } else {
+                    ((i * 37) % 101) as f64 - 50.5
+                }
+            })
+            .collect();
+        let mut out = Mat::zeros(1, src.len());
+        let [sq, abs, raw] = fill_blocked(out.as_mut_slice(), |i| {
+            (src[i], [src[i] * src[i], src[i].abs(), src[i]])
+        });
+        assert_eq!(out.as_slice(), &src[..]);
+        assert_eq!(sq.sqrt().to_bits(), fro_norm(&out).to_bits());
+        assert_eq!(abs.to_bits(), l1_norm(&out).to_bits());
+        assert_eq!(raw.to_bits(), blocked_sum(&src, |v| v).to_bits());
+        let small = &src[..3000];
+        let mut out = vec![0.0; small.len()];
+        let [raw] = fill_blocked(&mut out, |i| (small[i], [small[i]]));
+        assert_eq!(raw.to_bits(), blocked_sum(small, |v| v).to_bits());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! instances). [`svd_thin`] therefore works through the Gram matrix of the
 //! *small* dimension: an `m × m` symmetric eigenproblem plus one
 //! matrix-vector pass recovers the full thin SVD at `O(m²n)` cost instead of
-//! an `O(mn²)` bidiagonalization. [`svd_jacobi`] is a one-sided Jacobi SVD —
-//! slower but independently derived — used as a cross-check and for small
-//! dense problems.
+//! an `O(mn²)` bidiagonalization. [`Mat::gram_rows`] is the one Gram
+//! kernel; it runs its dot products as interleaved accumulator chains and
+//! is bit-identical to summing each product with `.sum()`. [`svd_jacobi`]
+//! is a one-sided Jacobi SVD — slower but independently derived — used as
+//! a cross-check and for small dense problems.
 
 use crate::eigen::eigh;
 use crate::{LinalgError, Mat, Result};

@@ -11,12 +11,42 @@
 //! and solved by FISTA-style accelerated proximal steps while the smoothing
 //! parameter `μ` is geometrically decreased (continuation) from `δ·‖A‖₂`
 //! down to a floor `μ̄`; as `μ → μ̄` the solution approaches the constrained
-//! optimum. Each iteration costs one truncated SVD of the low-rank iterate —
-//! cheap because [`cloudconst_linalg::svt`] only materializes singular
-//! values above the threshold.
+//! optimum.
+//!
+//! # Cost of an iteration
+//!
+//! A solve allocates one fixed set of `m × n` buffers up front — the
+//! normalized `A`, the iterates `D`, `D_prev`, `E`, `E_prev`, the gradient
+//! step `G_D` and the next iterates `D_next`, `E_next` — and rotates them
+//! with `swap` between iterations; the loop itself allocates no matrix.
+//! An iteration is two fused elementwise passes around one singular-value
+//! thresholding:
+//!
+//! 1. **Pass 1** writes `G_D = Y_D − ½G`, where `Y = X + β(X − X_prev)` is
+//!    the momentum point and `G = Y_D + Y_E − A` the gradient.
+//! 2. [`svt_into`] writes `D_next = U(Σ − μ/2)₊Vᵀ` of `G_D`; only singular
+//!    values above the threshold are materialized, which is what keeps
+//!    this cheap on the wide TP-matrix shape (`10 × N²`).
+//! 3. **Pass 2** recomputes `Y_D`, `Y_E`, `G` and `G_E = Y_E − ½G` per
+//!    element, writes `E_next = shrink(G_E)`, and accumulates the four
+//!    squared Frobenius sums of the stopping test (`S_D`, `S_E`, `D_next`,
+//!    `E_next`) with [`fill_blocked`].
+//!
+//! Both passes fan out over rayon above a size threshold.
+//!
+//! # Bit-identity contract
+//!
+//! Every element is computed by the same IEEE expression, in the same
+//! operation order, as the textbook form of the iteration: whole-matrix
+//! `Y_D = D + β(D − D_prev)`, `G = (Y_D + Y_E) − A`, and so on, with each
+//! norm a blocked sum in `fro_norm`'s order. Recomputing `Y` and `G` in
+//! pass 2 instead of storing them is therefore exact, and the solver's
+//! `d`, `e`, `residual`, `rank` and `iters` are bit-for-bit those of a
+//! direct allocating implementation, for any thread count. Golden
+//! `to_bits` digests in the crate's tests pin this.
 
 use crate::{default_lambda, spectral_norm, Result, RpcaError, RpcaResult};
-use cloudconst_linalg::{fro_norm, soft_threshold, svt, Mat};
+use cloudconst_linalg::{fill_blocked, fro_norm, shrink, svt_into, Mat};
 use serde::{Deserialize, Serialize};
 
 /// Options for [`apg`].
@@ -87,8 +117,7 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     // bandwidths are ~1e-8 s/byte). The problem is scale-equivariant, so
     // solve on Â = A/‖A‖_F and rescale D, E afterwards.
     let a = a.scale(1.0 / a_fro_orig);
-    let a = &a;
-    let a_norm2 = spectral_norm(a)?;
+    let a_norm2 = spectral_norm(&a)?;
     let a_fro = 1.0;
 
     let mu_init = opts.mu_init_factor * a_norm2;
@@ -98,63 +127,72 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     let mut d_prev = Mat::zeros(m, n);
     let mut e = Mat::zeros(m, n);
     let mut e_prev = Mat::zeros(m, n);
+    let mut gd = Mat::zeros(m, n);
+    let mut d_next = Mat::zeros(m, n);
+    let mut e_next = Mat::zeros(m, n);
     let mut t: f64 = 1.0;
     let mut t_prev: f64 = 1.0;
     let mut mu = mu_init;
-    let mut rank;
 
     for k in 0..opts.max_iters {
         let beta = (t_prev - 1.0) / t;
-
-        // Momentum extrapolation: Y = X_k + β (X_k − X_{k−1}).
-        let mut yd = d.clone();
-        yd.axpy(beta, &d.sub(&d_prev)?)?;
-        let mut ye = e.clone();
-        ye.axpy(beta, &e.sub(&e_prev)?)?;
-
-        // Gradient of the smooth term at (Y_D, Y_E): G = Y_D + Y_E − A for
-        // both blocks; Lipschitz constant of the joint gradient is 2, so the
+        let (dv, dp, ev, ep, av) = (
+            d.as_slice(),
+            d_prev.as_slice(),
+            e.as_slice(),
+            e_prev.as_slice(),
+            a.as_slice(),
+        );
+        // Momentum extrapolation Y = X_k + β (X_k − X_{k−1}) and the
+        // gradient of the smooth term at (Y_D, Y_E), G = Y_D + Y_E − A, for
+        // both blocks; the joint gradient's Lipschitz constant is 2, so the
         // step is ½.
-        let g = yd.add(&ye)?.sub(a)?;
-        let gd = yd.zip_with(&g, "apg-gd", |y, gv| y - 0.5 * gv)?;
-        let ge = ye.zip_with(&g, "apg-ge", |y, gv| y - 0.5 * gv)?;
+        let momentum = |i: usize| {
+            let yd = dv[i] + beta * (dv[i] - dp[i]);
+            let ye = ev[i] + beta * (ev[i] - ep[i]);
+            (yd, ye, (yd + ye) - av[i])
+        };
 
-        let svt_res = svt(&gd, mu / 2.0)?;
-        let d_next = svt_res.mat;
-        rank = svt_res.rank;
-        let e_next = soft_threshold(&ge, lambda * mu / 2.0);
+        // Pass 1: G_D = Y_D − ½G.
+        fill_blocked(gd.as_mut_slice(), |i| {
+            let (yd, _, g) = momentum(i);
+            (yd - 0.5 * g, [])
+        });
+        let (rank, _) = svt_into(&gd, mu / 2.0, &mut d_next)?;
 
-        // Stationarity measure from the reference implementation:
-        //   S = 2 (Y − X_{k+1}) + (X_{k+1} − Y) summed over blocks
-        // i.e. S_D = 2(Y_D − D_{k+1}) + (D_{k+1} + E_{k+1} − Y_D − Y_E), and
-        // symmetrically for E (both blocks share the second term).
-        let sum_next = d_next.add(&e_next)?;
-        let sum_y = yd.add(&ye)?;
-        let common = sum_next.sub(&sum_y)?;
-        let sd = yd
-            .sub(&d_next)?
-            .scale(2.0)
-            .add(&common)?;
-        let se = ye
-            .sub(&e_next)?
-            .scale(2.0)
-            .add(&common)?;
-        let stat = (fro_norm(&sd).powi(2) + fro_norm(&se).powi(2)).sqrt();
-        let xscale = (fro_norm(&d_next).powi(2) + fro_norm(&e_next).powi(2))
-            .sqrt()
-            .max(1.0);
+        // Pass 2: E_next = shrink(Y_E − ½G), plus the squared norms of the
+        // reference implementation's stationarity measure
+        //   S_D = 2(Y_D − D_{k+1}) + (D_{k+1} + E_{k+1} − Y_D − Y_E)
+        // (symmetrically S_E; both blocks share the second term) and of
+        // the new iterates.
+        let tau_e = lambda * mu / 2.0;
+        let dn = d_next.as_slice();
+        let [sd2, se2, dn2, en2] = fill_blocked(e_next.as_mut_slice(), |i| {
+            let (yd, ye, g) = momentum(i);
+            let en = shrink(ye - 0.5 * g, tau_e);
+            let common = (dn[i] + en) - (yd + ye);
+            let sd = (yd - dn[i]) * 2.0 + common;
+            let se = (ye - en) * 2.0 + common;
+            (en, [sd * sd, se * se, dn[i] * dn[i], en * en])
+        });
+        // ‖X‖_F² as the textbook form computes it: the norm, then squared.
+        let fro = |sq: f64| sq.sqrt().powi(2);
+        let stat = (fro(sd2) + fro(se2)).sqrt();
+        let xscale = (fro(dn2) + fro(en2)).sqrt().max(1.0);
 
-        d_prev = std::mem::replace(&mut d, d_next);
-        e_prev = std::mem::replace(&mut e, e_next);
+        std::mem::swap(&mut d_prev, &mut d);
+        std::mem::swap(&mut d, &mut d_next);
+        std::mem::swap(&mut e_prev, &mut e);
+        std::mem::swap(&mut e, &mut e_next);
         t_prev = t;
         t = (1.0 + (4.0 * t_prev * t_prev + 1.0).sqrt()) / 2.0;
         mu = (opts.eta * mu).max(mu_floor);
 
         if stat <= opts.tol * xscale {
-            let residual = fro_norm(&a.sub(&d)?.sub(&e)?) / a_fro;
+            let residual = residual_norm(&a, &d, &e, &mut gd) / a_fro;
             return Ok(RpcaResult {
-                d: d.scale(a_fro_orig),
-                e: e.scale(a_fro_orig),
+                d: rescaled(d, a_fro_orig),
+                e: rescaled(e, a_fro_orig),
                 iters: k + 1,
                 residual,
                 rank,
@@ -166,19 +204,36 @@ pub fn apg(a: &Mat, opts: &ApgOptions) -> Result<RpcaResult> {
     // dropping it. The solver ran on Â = A/‖A‖_F, so D and E must be
     // rescaled exactly like the convergence path above; the relative
     // residual is scale-invariant and therefore already consistent.
-    let residual = fro_norm(&a.sub(&d)?.sub(&e)?) / a_fro;
+    let residual = residual_norm(&a, &d, &e, &mut gd) / a_fro;
     let rank = svd_rank_of(&d);
     Err(RpcaError::NoConvergence {
         iters: opts.max_iters,
         residual,
         partial: Box::new(RpcaResult {
-            d: d.scale(a_fro_orig),
-            e: e.scale(a_fro_orig),
+            d: rescaled(d, a_fro_orig),
+            e: rescaled(e, a_fro_orig),
             iters: opts.max_iters,
             residual,
             rank,
         }),
     })
+}
+
+/// `‖(A − D) − E‖_F`, with the spare buffer `scratch` holding the
+/// difference.
+fn residual_norm(a: &Mat, d: &Mat, e: &Mat, scratch: &mut Mat) -> f64 {
+    let (av, dv, ev) = (a.as_slice(), d.as_slice(), e.as_slice());
+    let [sq] = fill_blocked(scratch.as_mut_slice(), |i| {
+        let r = (av[i] - dv[i]) - ev[i];
+        (r, [r * r])
+    });
+    sq.sqrt()
+}
+
+/// `m · s`, scaled in place.
+fn rescaled(mut m: Mat, s: f64) -> Mat {
+    m.as_mut_slice().iter_mut().for_each(|v| *v *= s);
+    m
 }
 
 /// Numerical rank of the final iterate (relative threshold 1e-9), for the

@@ -224,6 +224,49 @@ impl<'a, T: Send> EnumeratedParChunksMut<'a, T> {
             }
         });
     }
+
+    /// Ordered parallel map over `(index, chunk)` pairs.
+    pub fn map<U, F>(self, f: F) -> EnumeratedParChunksMutMap<'a, T, F>
+    where
+        U: Send,
+        F: Fn((usize, &mut [T])) -> U + Sync,
+    {
+        EnumeratedParChunksMutMap {
+            data: self.data,
+            chunk: self.chunk,
+            f,
+        }
+    }
+}
+
+/// Mapped enumerated mutable chunk iterator (see
+/// [`EnumeratedParChunksMut::map`]).
+pub struct EnumeratedParChunksMutMap<'a, T, F> {
+    data: &'a mut [T],
+    chunk: usize,
+    f: F,
+}
+
+impl<'a, T: Send, F> EnumeratedParChunksMutMap<'a, T, F> {
+    /// Collect chunk results in chunk order.
+    pub fn collect<C, U>(self) -> C
+    where
+        U: Send,
+        F: Fn((usize, &mut [T])) -> U + Sync,
+        C: From<Vec<U>>,
+    {
+        let len = self.data.len();
+        let chunk = self.chunk;
+        let f = &self.f;
+        let ptr = SyncPtr(self.data.as_mut_ptr());
+        C::from(parallel_collect(len.div_ceil(chunk), &|ci| {
+            let lo = ci * chunk;
+            let hi = (lo + chunk).min(len);
+            // SAFETY: chunks are disjoint; each ci is produced exactly once.
+            let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(lo), hi - lo) };
+            f((ci, slice))
+        }))
+    }
 }
 
 /// `par_chunks` over shared slices.
@@ -310,6 +353,29 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, (i / 13) as u64);
         }
+    }
+
+    #[test]
+    fn chunks_mut_map_collects_in_order() {
+        let mut v = vec![1u64; 1000];
+        let sums: Vec<u64> = v
+            .par_chunks_mut(64)
+            .enumerate()
+            .map(|(ci, c)| {
+                for x in c.iter_mut() {
+                    *x = ci as u64;
+                }
+                c.iter().sum()
+            })
+            .collect();
+        let expect: Vec<u64> = (0..1000u64)
+            .collect::<Vec<_>>()
+            .chunks(64)
+            .enumerate()
+            .map(|(ci, c)| ci as u64 * c.len() as u64)
+            .collect();
+        assert_eq!(sums, expect);
+        assert!(v.iter().enumerate().all(|(i, &x)| x == (i / 64) as u64));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! queued jobs instead of blocking — which makes nested parallel regions
 //! deadlock-free even on a single-worker pool.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -23,7 +23,9 @@ struct Job {
 struct Latch {
     remaining: Mutex<usize>,
     cv: Condvar,
-    panicked: AtomicBool,
+    /// Payload of the first helper panic, re-raised on the caller so a
+    /// panic reads the same whichever thread ran the failing item.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Latch {
@@ -31,7 +33,7 @@ impl Latch {
         Latch {
             remaining: Mutex::new(count),
             cv: Condvar::new(),
-            panicked: AtomicBool::new(false),
+            panic: Mutex::new(None),
         }
     }
 
@@ -57,9 +59,12 @@ struct PoolInner {
 
 impl PoolInner {
     fn run_job(&self, job: Job) {
-        let result = catch_unwind(AssertUnwindSafe(|| (job.body)()));
-        if result.is_err() {
-            job.latch.panicked.store(true, Ordering::SeqCst);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (job.body)())) {
+            job.latch
+                .panic
+                .lock()
+                .expect("no code panics while holding the panic slot")
+                .get_or_insert(payload);
         }
         job.latch.count_down();
     }
@@ -169,12 +174,16 @@ pub(crate) fn run_region(parallelism: usize, body: &(dyn Fn() + Sync)) {
     inner.cv.notify_all();
     let caller_result = catch_unwind(AssertUnwindSafe(body));
     inner.wait_helping(&latch);
-    match caller_result {
-        Err(p) => resume_unwind(p),
-        Ok(()) if latch.panicked.load(Ordering::SeqCst) => {
-            panic!("a parallel task panicked in the rayon shim pool")
-        }
-        Ok(()) => {}
+    if let Err(p) = caller_result {
+        resume_unwind(p);
+    }
+    let helper_panic = latch
+        .panic
+        .lock()
+        .expect("no code panics while holding the panic slot")
+        .take();
+    if let Some(p) = helper_panic {
+        resume_unwind(p);
     }
 }
 

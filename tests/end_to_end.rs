@@ -134,3 +134,46 @@ fn maintenance_loop_survives_regime_shift() {
     let avg_rel = total_rel / count as f64;
     assert!(avg_rel < 0.25, "post-shift model error too large: {avg_rel}");
 }
+
+/// The RPCA estimate is pinned to the bit: the `to_bits` digest of `P_D`
+/// (the constant α and 1/β rows, which fully determine `N_D`) and of
+/// `Norm(N_E)` on a 10-snapshot EC2-like TP-matrix at N = 32. The values
+/// were captured from the original allocating APG loop; any solver
+/// speedup must leave them unchanged.
+#[test]
+fn rpca_estimate_is_bit_stable_on_ec2_tp_matrix() {
+    use cloudconst::core::{estimate_with_opts, DegradedPolicy, EstimatorKind};
+    use cloudconst::netmodel::Calibrator;
+    use cloudconst::rpca::ApgOptions;
+
+    let digest = |xs: &[f64]| {
+        xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut cloud = SyntheticCloud::new(CloudConfig::ec2_like(32, 7));
+    let (tp, _) = Calibrator::new().calibrate_tp(&mut cloud, 0.0, 180.0, 10);
+    let est = estimate_with_opts(
+        &tp,
+        EstimatorKind::Rpca,
+        DegradedPolicy::Fail,
+        &ApgOptions::default(),
+    )
+    .unwrap();
+    let (alpha, inv_beta) = est.perf.flatten();
+    assert_eq!(
+        (
+            digest(&alpha),
+            digest(&inv_beta),
+            est.norm_ne.to_bits(),
+            est.solver_iters
+        ),
+        (
+            0xd555_380d_e837_8f01,
+            0x3377_fcb1_0dba_ee9f,
+            0x3fc2_414c_d3a9_9398,
+            209
+        ),
+        "golden digest of the N = 32 RPCA estimate"
+    );
+}
