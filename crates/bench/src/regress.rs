@@ -151,32 +151,34 @@ pub fn bench_calibration_faulty(n: usize, reps: usize) -> BenchRecord {
     }
 }
 
-/// Time a 10-snapshot calibration under correlated rack-blackout faults
-/// with model-based imputation: whole racks go dark per snapshot window
-/// and the masked cells are filled from the rank-one `N_D` prediction.
-/// The metric records the campaign's masked fraction so a change in the
+/// Time a 10-snapshot calibration under correlated rack-blackout faults:
+/// whole racks go dark per snapshot window and the masked cells are
+/// filled per `impute`. `ModelPrediction` records as
+/// `calibration_tp_rack_blackout` (each masked snapshot re-solves the
+/// rank-one `N_D` model of both planes), `LastGood` as
+/// `calibration_tp_rack_blackout_lastgood`: same cloud, plan and reps, so
+/// the ratio of the two is the price of model-based imputation. The
+/// metric records the campaign's masked fraction so a change in the
 /// fault-domain machinery (more or fewer cells lost) is visible next to
-/// the wall time of the extra RPCA solves the imputation performs.
-pub fn bench_calibration_rack_blackout(n: usize, reps: usize) -> BenchRecord {
+/// the wall time.
+pub fn bench_calibration_rack_blackout(n: usize, reps: usize, impute: ImputePolicy) -> BenchRecord {
     let base = SyntheticCloud::new(CloudConfig::ec2_like(n, 7));
     let plan = FaultPlan::rack_blackouts(11, base.placement(0), 0.35, 60.0);
     let cloud = FaultyCloud::new(base, plan);
     let retry = RetryPolicy::default();
     let mut masked = 0.0;
     let seconds = best_of(reps, || {
-        let run = Calibrator::new().calibrate_tp_faulty_par(
-            &cloud,
-            0.0,
-            60.0,
-            10,
-            &retry,
-            ImputePolicy::ModelPrediction,
-        );
+        let run = Calibrator::new().calibrate_tp_faulty_par(&cloud, 0.0, 60.0, 10, &retry, impute);
         masked = run.tp.masked_fraction();
         run
     });
+    let name = match impute {
+        ImputePolicy::ModelPrediction => "calibration_tp_rack_blackout",
+        ImputePolicy::LastGood => "calibration_tp_rack_blackout_lastgood",
+        ImputePolicy::SnapshotMedian => "calibration_tp_rack_blackout_median",
+    };
     BenchRecord {
-        name: "calibration_tp_rack_blackout".into(),
+        name: name.into(),
         n: n as u64,
         seconds,
         metric: masked,
@@ -342,7 +344,16 @@ pub fn run_suite(sizes: &[usize], serial_rpca_seconds: Option<f64>, date: String
     if let Some(&n) = sizes.iter().find(|&&n| n >= 64).or(sizes.last()) {
         let reps = if n >= 128 { 1 } else { 3 };
         records.push(bench_calibration_faulty(n, reps));
-        records.push(bench_calibration_rack_blackout(n, reps));
+        records.push(bench_calibration_rack_blackout(
+            n,
+            reps,
+            ImputePolicy::ModelPrediction,
+        ));
+        records.push(bench_calibration_rack_blackout(
+            n,
+            reps,
+            ImputePolicy::LastGood,
+        ));
         records.push(bench_calibration_adaptive_retry(n, reps));
     }
     // Sharded coordinator vs unsharded at service scale (N = 256) on full
@@ -445,6 +456,15 @@ mod tests {
             blackout.metric > 0.0 && blackout.metric < 1.0,
             "rack blackouts must mask some but not all cells: {}",
             blackout.metric
+        );
+        let lastgood = report
+            .records
+            .iter()
+            .find(|r| r.name == "calibration_tp_rack_blackout_lastgood")
+            .unwrap();
+        assert_eq!(
+            lastgood.metric, blackout.metric,
+            "both imputation policies see the same fault plan"
         );
         let adaptive = report
             .records

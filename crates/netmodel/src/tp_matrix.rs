@@ -2,6 +2,7 @@
 
 use crate::perf_matrix::PerfMatrix;
 use cloudconst_linalg::Mat;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How to fill a TP-matrix cell that calibration failed to observe.
@@ -26,6 +27,10 @@ pub enum ImputePolicy {
     /// constant — the paper's own model, pointed back at its input. Falls
     /// back to the snapshot median when there is no history yet. Imputed
     /// cells stay masked, so `Norm(N_E)` accounting still excludes them.
+    ///
+    /// The model is re-solved on every push that has a masked cell; the α
+    /// and 1/β planes are solved at the same time, and the snapshot median
+    /// is only computed when some cell falls back to it.
     ModelPrediction,
 }
 
@@ -81,15 +86,33 @@ impl TpMatrix {
     /// `N²` mask from the calibration's probe log; unobserved cells of `pm`
     /// are replaced according to `impute` and recorded as masked.
     pub fn push_masked(&mut self, time: f64, pm: &PerfMatrix, observed: &[bool], impute: ImputePolicy) {
-        assert_eq!(pm.n(), self.n, "snapshot size mismatch");
-        assert_eq!(observed.len(), self.n * self.n, "mask size mismatch");
+        let n = self.n;
+        assert_eq!(pm.n(), n, "snapshot size mismatch");
+        assert_eq!(observed.len(), n * n, "mask size mismatch");
         let (mut af, mut bf) = pm.flatten();
-        self.impute_row(&mut af, observed, impute, Which::Alpha);
-        self.impute_row(&mut bf, observed, impute, Which::InvBeta);
-        let mask: Vec<f64> = (0..self.n * self.n)
+        // Nothing to fill unless an off-diagonal cell went unobserved.
+        if (0..n * n).any(|k| !observed[k] && k / n != k % n) {
+            // ModelPrediction's rank-one constants of the α and 1/β history
+            // planes: two independent solves, run at the same time.
+            let models: Vec<Vec<f64>> =
+                if impute == ImputePolicy::ModelPrediction && self.steps() > 0 {
+                    let planes = [&self.alpha, &self.inv_beta];
+                    let opts = cloudconst_rpca::Rank1Options::default();
+                    (0..2)
+                        .into_par_iter()
+                        .map(|p| cloudconst_rpca::rank1_rpca(planes[p], &opts).constant)
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+            let model = |p: usize| models.get(p).map(Vec::as_slice);
+            self.impute_row(&mut af, observed, impute, &self.alpha, model(0));
+            self.impute_row(&mut bf, observed, impute, &self.inv_beta, model(1));
+        }
+        let mask: Vec<f64> = (0..n * n)
             .map(|k| {
                 // Diagonal cells are structurally zero, never imputed.
-                let (i, j) = (k / self.n, k % self.n);
+                let (i, j) = (k / n, k % n);
                 if i == j || observed[k] {
                     1.0
                 } else {
@@ -114,59 +137,42 @@ impl TpMatrix {
         self.times.push(time);
     }
 
-    /// Fill the unobserved cells of one flattened snapshot row in place.
-    fn impute_row(&self, row: &mut [f64], observed: &[bool], impute: ImputePolicy, which: Which) {
+    /// Fill the unobserved cells of one flattened snapshot row in place,
+    /// from `hist` (this row's plane) or the plane's rank-one `model`.
+    fn impute_row(
+        &self,
+        row: &mut [f64],
+        observed: &[bool],
+        impute: ImputePolicy,
+        hist: &Mat,
+        model: Option<&[f64]>,
+    ) {
         let n = self.n;
-        // Median of the observed off-diagonal cells of this snapshot — the
-        // fallback for cells with no usable history.
-        let mut seen: Vec<f64> = (0..n * n)
-            .filter(|&k| observed[k] && k / n != k % n)
-            .map(|k| row[k])
-            .collect();
-        seen.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-        let median = if seen.is_empty() {
-            0.0
-        } else {
-            seen[seen.len() / 2]
-        };
-
-        let hist = match which {
-            Which::Alpha => &self.alpha,
-            Which::InvBeta => &self.inv_beta,
-        };
-        // The rank-one constant of the history plane, solved once per push
-        // and only when ModelPrediction actually has cells to fill.
-        let model: Option<Vec<f64>> = match impute {
-            ImputePolicy::ModelPrediction
-                if self.steps() > 0
-                    && (0..n * n).any(|k| !observed[k] && k / n != k % n) =>
-            {
-                let opts = cloudconst_rpca::Rank1Options::default();
-                Some(cloudconst_rpca::rank1_rpca(hist, &opts).constant)
-            }
-            _ => None,
-        };
+        // The snapshot-median fallback, computed on first use: observed
+        // cells are never written, so it reads the same values whenever it
+        // is taken.
+        let mut median = None;
         for k in 0..n * n {
             if observed[k] || k / n == k % n {
                 continue;
             }
-            row[k] = match impute {
-                ImputePolicy::SnapshotMedian => median,
-                ImputePolicy::LastGood => {
-                    // Walk history backwards for the last observed value of
-                    // this cell.
-                    (0..self.steps())
-                        .rev()
-                        .find(|&s| self.mask[(s, k)] > 0.5)
-                        .map(|s| hist[(s, k)])
-                        .unwrap_or(median)
+            let fill = match impute {
+                ImputePolicy::SnapshotMedian => None,
+                // Walk history backwards for the last observed value of
+                // this cell.
+                ImputePolicy::LastGood => (0..self.steps())
+                    .rev()
+                    .find(|&s| self.mask[(s, k)] > 0.5)
+                    .map(|s| hist[(s, k)]),
+                ImputePolicy::ModelPrediction => {
+                    model.map(|c| c[k]).filter(|v| v.is_finite() && *v > 0.0)
                 }
-                ImputePolicy::ModelPrediction => model
-                    .as_ref()
-                    .map(|c| c[k])
-                    .filter(|v| v.is_finite() && *v > 0.0)
-                    .unwrap_or(median),
             };
+            let value = match fill {
+                Some(v) => v,
+                None => *median.get_or_insert_with(|| snapshot_median(row, observed, n)),
+            };
+            row[k] = value;
         }
     }
 
@@ -253,11 +259,21 @@ impl TpMatrix {
     }
 }
 
-/// Which flattened plane an imputation pass is filling.
-#[derive(Clone, Copy)]
-enum Which {
-    Alpha,
-    InvBeta,
+/// Median of the observed off-diagonal cells of one flattened snapshot
+/// row (`0.0` when there are none): the fallback for cells with no usable
+/// history. Selection returns the element a sort would put at `len/2`;
+/// measured link costs are positive, so no signed zero can tell them
+/// apart.
+fn snapshot_median(row: &[f64], observed: &[bool], n: usize) -> f64 {
+    let mut seen: Vec<f64> = (0..n * n)
+        .filter(|&k| observed[k] && k / n != k % n)
+        .map(|k| row[k])
+        .collect();
+    if seen.is_empty() {
+        return 0.0;
+    }
+    let mid = seen.len() / 2;
+    cloudconst_rpca::order_statistic(&mut seen, mid)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ pub use apg::{apg, ApgOptions};
 pub use constant::{constant_matrix, extract_constant, ConstantMethod};
 pub use ialm::{ialm, IalmOptions};
 pub use metrics::{norm_ne, norm_ne_l1, norm_ne_l1_masked, norm_ne_masked, relative_difference};
-pub use rank1::{rank1_rpca, Rank1Options, Rank1Result};
+pub use rank1::{order_statistic, rank1_rpca, Rank1Options, Rank1Result};
 
 use cloudconst_linalg::{svd_trunc, LinalgError, Mat};
 

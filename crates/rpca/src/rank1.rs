@@ -54,64 +54,79 @@ pub struct Rank1Result {
     pub iters: usize,
 }
 
-fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    values[(values.len() - 1) / 2]
+/// The value a stable `partial_cmp` sort of `values` would put at index
+/// `k`, found by selection in `O(len)` (`values` is left permuted).
+///
+/// An order statistic is one value whichever algorithm finds it, and
+/// values that compare equal share their bits unless `values` mixes
+/// `−0.0` with `+0.0`, so the result is bit-identical to sorting for any
+/// slice without both signed zeros. Panics on NaN, as the sort did.
+pub fn order_statistic(values: &mut [f64], k: usize) -> f64 {
+    *values
+        .select_nth_unstable_by(k, |a, b| a.partial_cmp(b).expect("no NaN"))
+        .1
 }
 
 /// Decompose `a` into an identical-rows rank-one part plus sparse error.
 pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
     let (m, n) = a.shape();
     assert!(m > 0 && n > 0, "matrix must be non-empty");
+    let len = m * n;
+    let cap = (len as f64 * opts.max_outlier_frac) as usize;
 
     // Initial constant: column medians (robust to a minority of outliers).
     let mut c = a.col_medians();
-    let mut mask: Vec<bool> = vec![false; m * n]; // true = outlier
+    // Every sweep reuses one set of buffers.
+    let mut mask = vec![false; len]; // true = outlier
+    let mut new_mask = vec![false; len];
+    let mut abs_res = vec![0.0f64; len];
+    let mut selection = vec![0.0f64; len];
+    let mut flagged: Vec<(f64, usize)> = Vec::new();
+    let mut sums = vec![0.0f64; n];
+    let mut counts = vec![0usize; n];
     let mut iters = 0;
 
     for sweep in 0..opts.max_iters {
         iters = sweep + 1;
 
         // Residuals and a robust scale estimate (MAD over all entries).
-        let mut abs_res: Vec<f64> = Vec::with_capacity(m * n);
-        for i in 0..m {
-            let row = a.row(i);
-            for (j, &v) in row.iter().enumerate() {
-                abs_res.push((v - c[j]).abs());
+        // Absolute values hold no −0.0, so selection returns the sort's
+        // median bit for bit.
+        for (i, res) in abs_res.chunks_exact_mut(n).enumerate() {
+            for ((r, &v), &cj) in res.iter_mut().zip(a.row(i)).zip(&c) {
+                *r = (v - cj).abs();
             }
         }
-        let mut sorted = abs_res.clone();
-        let mad = median(&mut sorted).max(f64::MIN_POSITIVE);
+        selection.copy_from_slice(&abs_res);
+        let mad = order_statistic(&mut selection, (len - 1) / 2).max(f64::MIN_POSITIVE);
         let threshold = opts.mad_factor * 1.4826 * mad; // MAD → σ scaling
 
-        // New mask, capped in size.
-        let mut new_mask = vec![false; m * n];
-        let mut flagged: Vec<(f64, usize)> = abs_res
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r > threshold)
-            .map(|(k, &r)| (r, k))
-            .collect();
-        let cap = ((m * n) as f64 * opts.max_outlier_frac) as usize;
+        // New mask, capped in size. The stable sort keeps the first of
+        // tied residuals in index order.
+        flagged.clear();
+        flagged.extend(
+            abs_res
+                .iter()
+                .enumerate()
+                .filter(|(_, &r)| r > threshold)
+                .map(|(k, &r)| (r, k)),
+        );
         if flagged.len() > cap {
             flagged.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
             flagged.truncate(cap);
         }
+        new_mask.fill(false);
         for &(_, k) in &flagged {
             new_mask[k] = true;
         }
 
         // Refit c from unmasked entries per column (mean of the clean
         // entries; median init already removed leverage).
-        let mut sums = vec![0.0f64; n];
-        let mut counts = vec![0usize; n];
-        for i in 0..m {
-            let row = a.row(i);
-            for (j, &v) in row.iter().enumerate() {
-                if !new_mask[i * n + j] {
+        sums.fill(0.0);
+        counts.fill(0);
+        for (i, row_mask) in new_mask.chunks_exact(n).enumerate() {
+            for (j, (&v, &outlier)) in a.row(i).iter().zip(row_mask).enumerate() {
+                if !outlier {
                     sums[j] += v;
                     counts[j] += 1;
                 }
@@ -124,11 +139,11 @@ pub fn rank1_rpca(a: &Mat, opts: &Rank1Options) -> Rank1Result {
             // A fully-masked column keeps its previous (median) estimate.
         }
 
-        if new_mask == mask {
-            mask = new_mask;
+        let converged = new_mask == mask;
+        std::mem::swap(&mut mask, &mut new_mask);
+        if converged {
             break;
         }
-        mask = new_mask;
     }
 
     let mut e = Mat::zeros(m, n);
@@ -227,5 +242,56 @@ mod tests {
         let r = rank1_rpca(&a, &Rank1Options::default());
         assert!(r.outliers <= 15); // ≤ 50% of 30
         assert!((r.constant[1] - 1.0).abs() < 1e-9);
+    }
+
+    /// The sort-based median this module used before selection: a stable
+    /// `partial_cmp` sort, then index `k`.
+    fn sorted_at(values: &[f64], k: usize) -> f64 {
+        let mut sorted = values.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted[k]
+    }
+
+    /// Small integers (heavy ties, many `+0.0`) mixed with fractions.
+    fn tie_heavy_values() -> impl proptest::prelude::Strategy<Value = Vec<f64>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0usize..9, 0.0f64..4.0), 1..65).prop_map(|cells| {
+            cells
+                .into_iter()
+                .map(|(tie, frac)| if tie < 6 { (tie / 2) as f64 } else { frac })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Selection returns the sort's element bit for bit at the MAD's
+        /// index `(len − 1)/2`, at the snapshot median's `len/2`, and at
+        /// every other index, over odd and even lengths from 1.
+        #[test]
+        fn selection_matches_the_sort_bit_for_bit(values in tie_heavy_values()) {
+            let len = values.len();
+            for k in [(len - 1) / 2, len / 2].into_iter().chain(0..len) {
+                let mut scratch = values.clone();
+                proptest::prop_assert_eq!(
+                    order_statistic(&mut scratch, k).to_bits(),
+                    sorted_at(&values, k).to_bits(),
+                    "k = {} of {:?}", k, values
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn selection_handles_length_one_and_all_zero_slices() {
+        assert_eq!(order_statistic(&mut [2.5], 0), 2.5);
+        for len in 1..6 {
+            let zeros = vec![0.0; len];
+            for k in [(len - 1) / 2, len / 2] {
+                let got = order_statistic(&mut zeros.clone(), k);
+                assert_eq!(got.to_bits(), 0.0f64.to_bits());
+            }
+        }
     }
 }

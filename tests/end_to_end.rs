@@ -177,3 +177,59 @@ fn rpca_estimate_is_bit_stable_on_ec2_tp_matrix() {
         "golden digest of the N = 32 RPCA estimate"
     );
 }
+
+/// Rack-blackout calibration is pinned to the bit: the `to_bits` digests
+/// of the α and 1/β planes and of the observation mask that
+/// `calibrate_tp_faulty_par` builds on a 10-snapshot EC2-like campaign at
+/// N = 32, for both imputation policies that read the history. The values
+/// were captured from the sort-based rank-one solver and snapshot median;
+/// any speedup of the imputation path must leave them unchanged.
+#[test]
+fn rack_blackout_imputation_is_bit_stable() {
+    use cloudconst::cloud::{FaultPlan, FaultyCloud};
+    use cloudconst::netmodel::{Calibrator, ImputePolicy, RetryPolicy};
+
+    let digest = |xs: &[f64]| {
+        xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let cloud = SyntheticCloud::new(CloudConfig::ec2_like(32, 7));
+    let plan = FaultPlan::rack_blackouts(11, cloud.placement(0), 0.35, 60.0);
+    let faulty = FaultyCloud::new(cloud, plan);
+    let fingerprint = |impute| {
+        let run = Calibrator::new().calibrate_tp_faulty_par(
+            &faulty,
+            0.0,
+            60.0,
+            10,
+            &RetryPolicy::default(),
+            impute,
+        );
+        let tp = &run.tp;
+        assert!(tp.masked_fraction() > 0.0, "the plan must mask cells");
+        (
+            digest(tp.alpha_matrix().as_slice()),
+            digest(tp.inv_beta_matrix().as_slice()),
+            digest(tp.mask_matrix().as_slice()),
+        )
+    };
+    assert_eq!(
+        fingerprint(ImputePolicy::ModelPrediction),
+        (
+            0x0030_a871_be65_a4e6,
+            0xb521_791c_9cbe_acbb,
+            0xfa33_f0ec_1361_4325
+        ),
+        "golden digest of the model-imputed campaign"
+    );
+    assert_eq!(
+        fingerprint(ImputePolicy::LastGood),
+        (
+            0xe797_ecb4_8378_b560,
+            0xe448_b38f_3dc9_0686,
+            0xfa33_f0ec_1361_4325
+        ),
+        "golden digest of the last-good campaign"
+    );
+}
