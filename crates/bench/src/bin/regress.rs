@@ -1,5 +1,7 @@
 //! Perf-regression runner: times the RPCA / simulator / calibration hot
-//! paths and writes `BENCH_<date>.json` at the repository root.
+//! paths and writes `BENCH_<date>.json` at the repository root. A report
+//! of the same date is never overwritten: the run takes the next free
+//! name, `BENCH_<date>b.json`, `BENCH_<date>c.json`, ….
 //!
 //! ```text
 //! regress [--quick] [--out DIR]
@@ -13,7 +15,7 @@
 //! serial leg of the parallel-vs-serial comparison without contaminating
 //! its own (already initialized) thread pool.
 
-use cloudconst_bench::regress::{civil_date, rpca_hot_seconds, run_suite, SIZES};
+use cloudconst_bench::regress::{civil_date, rpca_hot_seconds, run_suite, write_report, SIZES};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -79,15 +81,16 @@ fn main() {
         }
     }
 
-    let path = out_dir.join(report.file_name());
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    if let Err(e) = std::fs::create_dir_all(&out_dir)
-        .and_then(|()| std::fs::write(&path, json + "\n"))
-    {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(1);
+    match write_report(&out_dir, &report) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => {
+            eprintln!(
+                "error: cannot write a report into {}: {e}",
+                out_dir.display()
+            );
+            std::process::exit(1);
+        }
     }
-    println!("wrote {}", path.display());
 }
 
 fn serial_rpca_via_subprocess() -> Option<f64> {

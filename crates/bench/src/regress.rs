@@ -15,10 +15,13 @@ use cloudconst_coord::{
     TcpWorkerServer,
 };
 use cloudconst_linalg::Mat;
-use cloudconst_netmodel::{AdaptiveRetryPolicy, Calibrator, ImputePolicy, RetryPolicy};
+use cloudconst_netmodel::{AdaptiveRetryPolicy, Calibrator, ImputePolicy, RetryPolicy, MB};
 use cloudconst_rpca::{apg, ApgOptions};
-use cloudconst_simnet::{BackgroundSpec, Simulator, Topology};
+use cloudconst_simnet::{BackgroundSpec, ClusterView, LinkSpec, Simulator, Topology};
 use serde::{Deserialize, Serialize};
+use std::fs::OpenOptions;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Cluster sizes the harness sweeps (the paper's 16/64/196 instances).
@@ -49,10 +52,41 @@ pub struct RegressReport {
 }
 
 impl RegressReport {
-    /// File name the report is written under at the repo root.
+    /// File name the report is written under at the repo root, unless a
+    /// report of the same date is already there (see [`write_report`]).
     pub fn file_name(&self) -> String {
         format!("BENCH_{}.json", self.date)
     }
+}
+
+/// Write `report` as pretty JSON into `dir` (created if missing) under the
+/// first free name of `BENCH_<date>.json`, `BENCH_<date>b.json`, …,
+/// `BENCH_<date>z.json`, and return the path. An existing report is never
+/// overwritten: each name is claimed with `create_new`, so two runs on
+/// one day keep both files.
+pub fn write_report(dir: &Path, report: &RegressReport) -> io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
+    let json = serde_json::to_string_pretty(report).map_err(io::Error::other)? + "\n";
+    let suffixes = std::iter::once(String::new()).chain(('b'..='z').map(String::from));
+    for suffix in suffixes {
+        let path = dir.join(format!("BENCH_{}{suffix}.json", report.date));
+        match OpenOptions::new().write(true).create_new(true).open(&path) {
+            Ok(mut file) => {
+                file.write_all(json.as_bytes())?;
+                return Ok(path);
+            }
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Err(io::Error::new(
+        io::ErrorKind::AlreadyExists,
+        format!(
+            "BENCH_{}.json through suffix z all exist in {}",
+            report.date,
+            dir.display()
+        ),
+    ))
 }
 
 /// A TP-matrix-shaped input (`steps × N²`): constant columns plus sparse
@@ -324,6 +358,55 @@ pub fn bench_simnet(reps: usize) -> BenchRecord {
     }
 }
 
+/// Time a 5-snapshot TP-matrix calibration of a 48-VM cluster through
+/// [`ClusterView`] on the `simnet-dc48` datacenter shape: 8 racks × 32
+/// hosts, 1 Gb/s host links, 10 Gb/s core links, 120 background pairs of
+/// 100 MB messages every 5 s on average with churn 0.15, warmed up for
+/// 15 simulated seconds. Every rep replays the same seeded datacenter, so
+/// the reps do identical work; only the calibration is timed. Nearly all
+/// of it is max-min rate solves. The metric is flows completed (probes
+/// and background) per wall second of calibration.
+pub fn bench_simnet_calibrate_dc48(reps: usize) -> BenchRecord {
+    assert!(reps >= 1);
+    let host = LinkSpec {
+        capacity: 1e9 / 8.0,
+        latency: 20e-6,
+    };
+    let core = LinkSpec {
+        capacity: 10e9 / 8.0,
+        latency: 30e-6,
+    };
+    // 37 is prime to 256, so the stride visits 48 distinct hosts.
+    let vms: Vec<usize> = (0..48).map(|k| (k * 37 + 11) % 256).collect();
+    let mut seconds = f64::INFINITY;
+    let mut flows = 0;
+    for _ in 0..reps {
+        let mut sim = Simulator::new(Topology::tree(8, 32, host, core), 11);
+        BackgroundSpec {
+            pairs: 120,
+            message_bytes: 100 * MB,
+            lambda: 5.0,
+            churn: 0.15,
+            seed: 0xB6,
+        }
+        .install(&mut sim, 0.0);
+        sim.run_until(15.0);
+        let before = sim.flows_completed();
+        let mut view = ClusterView::new(&mut sim, vms.clone());
+        let t0 = Instant::now();
+        let run = Calibrator::new().calibrate_tp(&mut view, 15.0, 30.0, 5);
+        seconds = seconds.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box(run);
+        flows = sim.flows_completed() - before;
+    }
+    BenchRecord {
+        name: "simnet_calibrate_dc48".into(),
+        n: 48,
+        seconds,
+        metric: flows as f64 / seconds,
+    }
+}
+
 /// Run the whole suite. `serial_rpca_seconds` is the `RAYON_NUM_THREADS=1`
 /// measurement of [`rpca_hot_seconds`] when the caller obtained one (the
 /// binary measures it in a subprocess); the parallel leg is always timed
@@ -367,6 +450,7 @@ pub fn run_suite(sizes: &[usize], serial_rpca_seconds: Option<f64>, date: String
     records.extend(bench_calibration_sharded(sharded_n, 4, 1));
     records.push(bench_calibration_tcp_localhost(sharded_n, 4, 1));
     records.push(bench_simnet(2));
+    records.push(bench_simnet_calibrate_dc48(5));
 
     let par = rpca_hot_seconds();
     records.push(BenchRecord {
@@ -437,6 +521,15 @@ mod tests {
         assert!(names.contains(&"calibration_tp"));
         assert!(names.contains(&"calibration_tp_faulty_5pct"));
         assert!(names.contains(&"simnet_background_60s"));
+        let dc48 = report
+            .records
+            .iter()
+            .find(|r| r.name == "simnet_calibrate_dc48")
+            .unwrap();
+        assert!(
+            dc48.seconds > 0.0 && dc48.metric > 0.0,
+            "the simulator calibration must complete flows: {dc48:?}"
+        );
         let faulty = report
             .records
             .iter()
@@ -505,6 +598,53 @@ mod tests {
         let back: RegressReport = serde_json::from_str(&json).expect("parse");
         assert_eq!(back.records.len(), report.records.len());
         assert_eq!(back.date, report.date);
+    }
+
+    #[test]
+    fn reports_of_one_date_never_overwrite_each_other() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!(
+            "../../target/regress-write-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = |seconds: f64| RegressReport {
+            date: "2026-10-18".into(),
+            threads: 1,
+            records: vec![BenchRecord {
+                name: "probe".into(),
+                n: 0,
+                seconds,
+                metric: 0.0,
+            }],
+        };
+        let name = |p: PathBuf| p.file_name().unwrap().to_string_lossy().into_owned();
+        let names: Vec<String> = (0..3)
+            .map(|k| name(write_report(&dir, &report(k as f64)).unwrap()))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "BENCH_2026-10-18.json",
+                "BENCH_2026-10-18b.json",
+                "BENCH_2026-10-18c.json"
+            ]
+        );
+        // Each file keeps the run that claimed it.
+        for (k, n) in names.iter().enumerate() {
+            let text = std::fs::read_to_string(dir.join(n)).unwrap();
+            let back: RegressReport = serde_json::from_str(&text).unwrap();
+            assert_eq!(back.records[0].seconds, k as f64, "{n} was overwritten");
+        }
+        // A freed name is taken again before a later suffix.
+        std::fs::remove_file(dir.join(&names[1])).unwrap();
+        assert_eq!(name(write_report(&dir, &report(9.0)).unwrap()), names[1]);
+        // Once `z` is taken the run fails instead of overwriting.
+        for _ in 'd'..='z' {
+            write_report(&dir, &report(0.0)).unwrap();
+        }
+        let err = write_report(&dir, &report(0.0)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

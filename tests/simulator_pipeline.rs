@@ -105,3 +105,53 @@ fn scatter_and_gather_complete_under_background() {
         assert!(t > 0.0 && t.is_finite(), "{op:?} returned {t}");
     }
 }
+
+/// The simulator's outputs are pinned to the bit: the `to_bits` digests of
+/// a TP-matrix calibrated under churned background traffic, of an FNF
+/// broadcast's makespan executed as flows, and the completed-flow count.
+/// The values were captured from the scan-based max-min solve; any faster
+/// rate solve or engine loop must leave them unchanged.
+#[test]
+fn simulator_campaign_is_bit_stable() {
+    let digest = |xs: &[f64]| {
+        xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+            (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let mut sim = Simulator::new(topo(), 17);
+    BackgroundSpec {
+        pairs: 24,
+        message_bytes: 50 * MB,
+        lambda: 2.0,
+        churn: 0.3,
+        seed: 5,
+    }
+    .install(&mut sim, 0.0);
+    sim.run_until(6.0);
+    let mut view = ClusterView::new(&mut sim, (0..16).map(|k| (k * 13 + 3) % 64).collect());
+    let now = view.simulator().time();
+    let (tp, _) = Calibrator::new().calibrate_tp(&mut view, now, 10.0, 4);
+    let guide = tp.snapshot(tp.steps() - 1);
+    let fnf = fnf_tree(0, &guide.weights(4 * MB));
+    let start = view.simulator().time() + 1.0;
+    let t_fnf = run_dag(
+        &mut view,
+        &schedule(&fnf, Collective::Broadcast, 4 * MB),
+        start,
+    );
+    assert_eq!(
+        (
+            digest(tp.alpha_matrix().as_slice()),
+            digest(tp.inv_beta_matrix().as_slice()),
+            t_fnf.to_bits(),
+            view.simulator().flows_completed(),
+        ),
+        (
+            0x0693_99dd_2b77_7325,
+            0xede2_163c_8f03_d6a6,
+            0x3fd1_32a2_4fdc_c900,
+            2411
+        ),
+        "golden digest of a simulator calibration and broadcast"
+    );
+}
